@@ -1,6 +1,6 @@
 // Command benchfig regenerates the tables and figures of the paper's
 // evaluation (Section 5). Each figure prints the same series the paper
-// plots; EXPERIMENTS.md records a reference run.
+// plots; -json FILE archives the measured series.
 //
 // Usage:
 //

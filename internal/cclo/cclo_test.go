@@ -17,7 +17,7 @@ type testDeployment struct {
 	ring    ring.Ring
 }
 
-func deploy(t *testing.T, dcs, parts int, gc time.Duration) *testDeployment {
+func deploy(t testing.TB, dcs, parts int, gc time.Duration) *testDeployment {
 	t.Helper()
 	d := &testDeployment{
 		net:  transport.NewLocal(transport.LatencyModel{}),
@@ -291,21 +291,59 @@ func TestReadersCheckStats(t *testing.T) {
 	}
 }
 
-func TestFilterOnePerClient(t *testing.T) {
-	in := map[uint64]orEntry{
-		5<<32 | 1: {rotID: 5<<32 | 1, t: 10},
-		5<<32 | 3: {rotID: 5<<32 | 3, t: 30},
-		6<<32 | 2: {rotID: 6<<32 | 2, t: 20},
+func TestReaderSetOnePerClient(t *testing.T) {
+	out := make(readerSet)
+	for _, e := range []orEntry{
+		{rotID: 5<<32 | 1, t: 10},
+		{rotID: 5<<32 | 3, t: 30},
+		{rotID: 6<<32 | 2, t: 20},
+		{rotID: 5<<32 | 3, t: 25}, // same ROT seen again, earlier: the safer time wins
+		{rotID: 5<<32 | 2, t: 5},  // an older ROT of client 5 arriving late
+	} {
+		out.add(e)
 	}
-	out := filterOnePerClient(in)
 	if len(out) != 2 {
-		t.Fatalf("filtered to %d entries, want 2 (one per client)", len(out))
+		t.Fatalf("merged to %d entries, want 2 (one per client)", len(out))
 	}
-	if _, ok := out[5<<32|3]; !ok {
-		t.Fatal("must keep the most recent ROT of client 5")
+	if e := out[5]; e.rotID != 5<<32|3 || e.t != 25 {
+		t.Fatalf("client 5 kept %+v, want its most recent ROT with the earliest t (rot %d, t 25)", e, uint64(5<<32|3))
 	}
-	if _, ok := out[6<<32|2]; !ok {
-		t.Fatal("must keep client 6's only ROT")
+	if e := out[6]; e.rotID != 6<<32|2 {
+		t.Fatalf("client 6 kept %+v, want its only ROT", e)
+	}
+}
+
+// TestRepUpdateWithoutDepsCarryingOldReaders: a replicated update with no
+// dependencies runs no readers check, so the origin's old readers must
+// start a set of their own. Merging them into the check's nil result used
+// to panic the receiving process.
+func TestRepUpdateWithoutDepsCarryingOldReaders(t *testing.T) {
+	d := deploy(t, 2, 1, 0)
+	peer, err := d.net.Attach(wire.ClientAddr(1, 99), transport.HandlerFunc(
+		func(transport.Node, wire.From, uint64, wire.Message) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	const rot = 1<<32 | 1
+	resp, err := peer.Call(ctx, wire.ServerAddr(0, 0), &wire.LoRepUpdate{
+		SrcDC: 1, Key: "x", Value: []byte("v"), TS: 5,
+		OldReaders: []wire.ReaderEntry{{RotID: rot, T: 3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := resp.(*wire.LoRepAck); !ok {
+		t.Fatalf("response %T, want LoRepAck", resp)
+	}
+	st := d.servers[0].store
+	if _, _, _, ok := st.read("x", rot, 6, time.Now()); ok {
+		t.Fatal("the origin's old reader sees the update despite its mark")
+	}
+	if v, ts, _, ok := st.read("x", 2<<32|1, 6, time.Now()); !ok || ts != 5 || string(v) != "v" {
+		t.Fatalf("unmarked ROT read (%q, %d, %v), want (v, 5, true)", v, ts, ok)
 	}
 }
 
@@ -414,9 +452,9 @@ func TestReadersMoveOnFullChain(t *testing.T) {
 	}
 	// ...and a further install must still move it to old readers.
 	s.install("k", loVersion{ts: 11}, nil, now)
-	out := make(map[uint64]orEntry)
+	out := make(readerSet)
 	s.collectOldReaders("k", 11, now, out)
-	if _, ok := out[42]; !ok {
+	if e, ok := out[42>>32]; !ok || e.rotID != 42 {
 		t.Fatal("reader on a full chain was not moved to old readers on install")
 	}
 }
@@ -445,10 +483,45 @@ func BenchmarkCollectOldReaders(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := make(map[uint64]orEntry, 256)
+		out := make(readerSet, 256)
 		s.collectOldReaders("k", 1000, now, out)
 		if len(out) != 256 {
 			b.Fatalf("collected %d", len(out))
+		}
+	}
+}
+
+// BenchmarkReadersCheck measures one PUT's readers check with a dependency
+// on each of two partitions, one local and one interrogated remotely. Each
+// dependency key has 1024 old readers: 64 clients with 16 ROTs each, the
+// shape the one-ROT-per-client rule reduces to 64 entries.
+func BenchmarkReadersCheck(b *testing.B) {
+	d := deploy(b, 1, 2, time.Minute)
+	x, y := distinctKeys(d.ring)
+	now := time.Now()
+	var deps []wire.LoDep
+	for _, key := range []string{x, y} {
+		st := d.servers[d.ring.Owner(key)].store
+		st.install(key, loVersion{ts: 1}, nil, now)
+		for c := uint64(1); c <= 64; c++ {
+			for rot := uint64(1); rot <= 16; rot++ {
+				st.read(key, c<<32|rot, rot+1, now)
+				st.install(key, loVersion{ts: c*100 + rot + 1}, nil, now) // readers -> old readers
+			}
+		}
+		l, _ := st.latest(key)
+		deps = append(deps, wire.LoDep{Key: key, TS: l.ts + 1})
+	}
+	s := d.servers[d.ring.Owner(x)]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		collected, _, err := s.readersCheck(deps, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(collected) != 64 {
+			b.Fatalf("collected %d entries, want one per client (64)", len(collected))
 		}
 	}
 }

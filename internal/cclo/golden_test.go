@@ -241,7 +241,10 @@ func sameCollected(a, b map[uint64]orEntry) bool {
 // readers, dup re-deliveries, dependency probes, GC-window expiries —
 // against the engine-backed loStore and the vendored pre-refactor logic,
 // requiring identical answers and identical reader-map footprints at every
-// step.
+// step. ROT ids come from several clients; the reference's per-ROT
+// collection is projected through filterOnePerClient (what the server
+// installed), which must equal the loStore's client-keyed collection, and
+// that projected set is what both sides install.
 func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 	const maxVersions = 4
 	const gcWindow = 40 * time.Millisecond
@@ -265,7 +268,7 @@ func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 		}
 		now := t0.Add(clock)
 		key := keys[r.Intn(len(keys))]
-		rotID := uint64(r.Intn(64) + 1)
+		rotID := uint64(r.Intn(8))<<32 | uint64(r.Intn(8)+1)
 		switch r.Intn(6) {
 		case 0, 1: // ROT read
 			gv, gts, gsrc, gok := eng.read(key, rotID, nextTS, now)
@@ -278,11 +281,12 @@ func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 		case 2, 3: // install, with old readers collected from a dependency key
 			depKey := keys[r.Intn(len(keys))]
 			depTS := uint64(r.Intn(int(nextTS)) + 1)
-			gout := make(map[uint64]orEntry)
+			gout := make(readerSet)
 			wout := make(map[uint64]orEntry)
 			eng.collectOldReaders(depKey, depTS, now, gout)
 			ref.collectOldReaders(depKey, depTS, now, wout)
-			if !sameCollected(gout, wout) {
+			wout = filterOnePerClient(wout)
+			if !sameCollected(byROT(gout), wout) {
 				t.Fatalf("op %d: collectOldReaders(%s, %d) = %v, golden %v", op, depKey, depTS, gout, wout)
 			}
 			ts := nextTS

@@ -85,7 +85,7 @@ type Stats struct {
 	KeysChecked       atomic.Uint64 // dependencies examined
 	PartitionsAsked   atomic.Uint64 // remote partitions interrogated
 	IDsCumulative     atomic.Uint64 // ROT ids scanned, before dedup/filter
-	IDsDistinct       atomic.Uint64 // distinct ROT ids after merge
+	IDsDistinct       atomic.Uint64 // ROT ids kept after merge (one per client)
 	CheckBytes        atomic.Uint64 // readers-check response payload bytes
 	ReplicationChecks atomic.Uint64 // readers checks run for replicated updates
 }
@@ -543,7 +543,7 @@ func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
 // surviving install would resurrect the version without its rewind
 // protection — the exact bug this PR closes. Torn the other way round, the
 // version is lost too and the orphaned marks are dropped at recovery.
-func installRecords(install wal.Record, collected map[uint64]orEntry) []wal.Record {
+func installRecords(install wal.Record, collected readerSet) []wal.Record {
 	if len(collected) == 0 {
 		return []wal.Record{install}
 	}
@@ -554,7 +554,7 @@ func installRecords(install wal.Record, collected map[uint64]orEntry) []wal.Reco
 }
 
 // install writes the version and wakes dependency checks.
-func (s *Server) install(key string, v loVersion, collected map[uint64]orEntry) {
+func (s *Server) install(key string, v loVersion, collected readerSet) {
 	s.store.install(key, v, collected, time.Now())
 	s.installMu.Lock()
 	s.installGen++
@@ -563,11 +563,11 @@ func (s *Server) install(key string, v loVersion, collected map[uint64]orEntry) 
 }
 
 // readersCheck interrogates the partition of every dependency for old
-// readers and merges the results. It returns the merged entries and the
-// highest read time seen. replicated marks checks run on behalf of a
-// replicated update (they are counted separately; §5.4 attributes CC-LO's
-// poor geo-scaling to them).
-func (s *Server) readersCheck(deps []wire.LoDep, replicated bool) (map[uint64]orEntry, uint64, error) {
+// readers and merges the results, one ROT per client. It returns the merged
+// entries (nil when there are no dependencies) and the highest read time
+// seen. replicated marks checks run on behalf of a replicated update (they
+// are counted separately; §5.4 attributes CC-LO's poor geo-scaling to them).
+func (s *Server) readersCheck(deps []wire.LoDep, replicated bool) (readerSet, uint64, error) {
 	s.stats.Checks.Add(1)
 	if replicated {
 		s.stats.ReplicationChecks.Add(1)
@@ -581,7 +581,7 @@ func (s *Server) readersCheck(deps []wire.LoDep, replicated bool) (map[uint64]or
 		p := s.ring.Owner(d.Key)
 		byPart[p] = append(byPart[p], d)
 	}
-	collected := make(map[uint64]orEntry)
+	collected := make(readerSet)
 	now := time.Now()
 	var scanned int
 
@@ -638,14 +638,12 @@ func (s *Server) readersCheck(deps []wire.LoDep, replicated bool) (map[uint64]or
 		scanned += int(a.cumulative)
 		s.stats.CheckBytes.Add(uint64(a.bytes))
 		for _, r := range a.readers {
-			merge(collected, r.RotID, orEntry{rotID: r.RotID, t: r.T, addedAt: now})
+			collected.add(orEntry{rotID: r.RotID, t: r.T, addedAt: now})
 		}
 	}
 	if firstErr != nil {
 		return nil, 0, firstErr
 	}
-	// Apply the paper's one-id-per-client optimization to the merged set.
-	collected = filterOnePerClient(collected)
 	s.stats.IDsCumulative.Add(uint64(scanned))
 	s.stats.IDsDistinct.Add(uint64(len(collected)))
 	var maxT uint64
@@ -660,12 +658,11 @@ func (s *Server) readersCheck(deps []wire.LoDep, replicated bool) (map[uint64]or
 func (s *Server) handleOldReaders(src wire.From, reqID uint64, m *wire.OldReadersReq) {
 	s.foldEpochs(m.Epochs)
 	now := time.Now()
-	collected := make(map[uint64]orEntry)
+	collected := make(readerSet)
 	scanned := 0
 	for _, d := range m.Deps {
 		scanned += s.store.collectOldReaders(d.Key, d.TS, now, collected)
 	}
-	collected = filterOnePerClient(collected)
 	// Receiving the check updates our Lamport clock with nothing (the
 	// times flow the other way); the response carries our entries' times
 	// plus our epoch vector (our own entry says which incarnation answered
@@ -766,9 +763,12 @@ func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdat
 		transport.RespondError(s.node, src, reqID, 500, "cclo: readers check: "+err.Error())
 		return
 	}
+	if collected == nil && len(m.OldReaders) > 0 {
+		collected = make(readerSet, len(m.OldReaders))
+	}
 	now := time.Now()
 	for _, r := range m.OldReaders {
-		merge(collected, r.RotID, orEntry{rotID: r.RotID, t: r.T, addedAt: now})
+		collected.add(orEntry{rotID: r.RotID, t: r.T, addedAt: now})
 	}
 	// 3. Durability before visibility AND before the ack, waiting for the
 	// real fsync even in background-sync mode: an install visible to reads
@@ -795,31 +795,13 @@ func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdat
 	_ = s.node.Respond(src, reqID, &wire.LoRepAck{Seq: m.Seq})
 }
 
-// filterOnePerClient keeps, per client, only the most recent ROT id (the
-// paper's §5.2 optimization; sound for clients that issue one ROT at a
-// time, because any older ROT has completed all its reads).
-func filterOnePerClient(in map[uint64]orEntry) map[uint64]orEntry {
-	best := make(map[uint64]orEntry, len(in))
-	for id, e := range in {
-		client := id >> 32
-		if prev, ok := best[client]; !ok || id > prev.rotID {
-			best[client] = e
-		}
-	}
-	out := make(map[uint64]orEntry, len(best))
-	for _, e := range best {
-		out[e.rotID] = e
-	}
-	return out
-}
-
-func entriesToWire(m map[uint64]orEntry) []wire.ReaderEntry {
+func entriesToWire(m readerSet) []wire.ReaderEntry {
 	if len(m) == 0 {
 		return nil
 	}
 	out := make([]wire.ReaderEntry, 0, len(m))
-	for id, e := range m {
-		out = append(out, wire.ReaderEntry{RotID: id, T: e.t})
+	for _, e := range m {
+		out = append(out, wire.ReaderEntry{RotID: e.rotID, T: e.t})
 	}
 	return out
 }

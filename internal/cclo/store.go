@@ -20,12 +20,15 @@
 //
 // The implementation includes the two optimizations the paper applied to
 // its CC-LO code base (§5.2): reader entries are garbage-collected 500 ms
-// after insertion, and a readers-check response carries at most one ROT id
-// per client (the most recent, valid because clients issue one ROT at a
-// time).
+// after insertion, and every set of old readers — gathered from a key,
+// merged across partitions, sent in a readers-check response or installed
+// as marks — holds at most one ROT id per client (the most recent, valid
+// because clients issue one ROT at a time). The rule is applied while the
+// sets are built (readerSet), so they stay O(clients), not O(ROTs scanned).
 package cclo
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -207,10 +210,10 @@ func (s *loStore) read(key string, rotID uint64, t uint64, now time.Time) (val [
 	return val, ts, src, ok
 }
 
-// collectOldReaders returns the old readers of key relevant to a dependency
-// on version depTS — every ROT whose served version of this key trails
-// depTS, i.e. every ROT that would be inconsistent if it now saw a version
-// depending on key@depTS. Three sources, all filtered precisely (an
+// collectOldReaders adds to out the old readers of key relevant to a
+// dependency on version depTS — every ROT whose served version of this key
+// trails depTS, i.e. every ROT that would be inconsistent if it now saw a
+// version depending on key@depTS. Three sources, all filtered precisely (an
 // over-collected ROT would be hidden from versions it may legitimately
 // have observed, breaking its session guarantees):
 //
@@ -222,28 +225,19 @@ func (s *loStore) read(key string, rotID uint64, t uint64, now time.Time) (val [
 //     above depTS was served something older — the transitive propagation
 //     that keeps a rewound ROT visible to later dependent writes.
 //
-// Expired entries are dropped. The result maps ROT id → entry.
-func (s *loStore) collectOldReaders(key string, depTS uint64, now time.Time, out map[uint64]orEntry) (scanned int) {
+// Expired entries are dropped from the key's maps during the same walk.
+// scanned counts the live entries walked.
+func (s *loStore) collectOldReaders(key string, depTS uint64, now time.Time, out readerSet) (scanned int) {
 	s.eng.Update(key, false, func(k *loKeyRef) {
 		aux := k.Aux()
-		gcSweep(aux.oldReaders, s.gcWindow, now)
-		for id, e := range aux.oldReaders {
-			scanned++
-			if e.vts < depTS {
-				merge(out, id, e)
-			}
-		}
+		scanned += s.gather(aux.oldReaders, depTS, now, out)
 		c := k.Chain()
 		latestTS := uint64(0)
 		if l := c.Latest(); l != nil {
 			latestTS = l.TS
 		}
 		if latestTS < depTS {
-			gcSweep(aux.readers, s.gcWindow, now)
-			for id, e := range aux.readers {
-				scanned++
-				merge(out, id, e)
-			}
+			scanned += s.gather(aux.readers, math.MaxUint64, now, out)
 		} else {
 			// Not collected, but a probe-heavy dependency key with a current
 			// latest never takes the branch above; keep its reader map bounded
@@ -263,19 +257,42 @@ func (s *loStore) collectOldReaders(key string, depTS uint64, now time.Time, out
 		// is write-path cost, which is exactly where CC-LO pays (§3).
 		if c != nil {
 			for i := range c.Versions {
-				inv := c.Versions[i].Extra.invisible
-				for id, e := range inv {
-					if s.expired(e, now) {
-						delete(inv, id)
-						continue
-					}
-					scanned++
-					merge(out, id, e)
-				}
+				scanned += s.gather(c.Versions[i].Extra.invisible, math.MaxUint64, now, out)
 			}
 		}
 	})
 	return scanned
+}
+
+// gather walks one reader map in a single pass: expired entries are
+// deleted, live ones counted, and those served a version below vtsBelow
+// added to out.
+func (s *loStore) gather(m map[uint64]orEntry, vtsBelow uint64, now time.Time, out readerSet) (scanned int) {
+	for id, e := range m {
+		if s.expired(e, now) {
+			delete(m, id)
+			continue
+		}
+		scanned++
+		if e.vts < vtsBelow {
+			out.add(e)
+		}
+	}
+	return scanned
+}
+
+// readerSet is a set of old readers under the one-ROT-per-client rule,
+// keyed by client (rotID>>32): per client it keeps the newest ROT id and,
+// for that ROT, the entry with the earliest (safest) read time. Dropping a
+// client's older ROTs is sound because a client issues one ROT at a time,
+// so an older ROT has completed all its reads.
+type readerSet map[uint64]orEntry
+
+func (rs readerSet) add(e orEntry) {
+	c := e.rotID >> 32
+	if prev, ok := rs[c]; !ok || e.rotID > prev.rotID || e.rotID == prev.rotID && e.t < prev.t {
+		rs[c] = e
+	}
 }
 
 // merge keeps the safest (earliest-time) entry per ROT id.
@@ -297,15 +314,15 @@ func gcSweep(m map[uint64]orEntry, window time.Duration, now time.Time) {
 // old readers, and marks the version invisible to the collected old
 // readers of the PUT's dependencies. It returns true if the version is now
 // the latest.
-func (s *loStore) install(key string, v loVersion, collected map[uint64]orEntry, now time.Time) bool {
+func (s *loStore) install(key string, v loVersion, collected readerSet, now time.Time) bool {
 	newest := false
 	s.eng.Update(key, true, func(k *loKeyRef) {
 		ev := loEngVer{Value: v.value, TS: v.ts, Src: v.srcDC, Extra: loExtra{deps: v.deps}}
 		if len(collected) > 0 {
 			inv := make(map[uint64]orEntry, len(collected))
-			for id, e := range collected {
+			for _, e := range collected {
 				e.addedAt = now
-				inv[id] = e
+				inv[e.rotID] = e
 			}
 			ev.Extra.invisible = inv
 		}
@@ -323,9 +340,9 @@ func (s *loStore) install(key string, v loVersion, collected map[uint64]orEntry,
 					// republish the chain with one (never assign the field).
 					k.SetExtra(idx, loExtra{deps: ex.Extra.deps, invisible: ev.Extra.invisible})
 				} else {
-					for id, e := range collected {
+					for _, e := range collected {
 						e.addedAt = now
-						merge(ex.Extra.invisible, id, e)
+						merge(ex.Extra.invisible, e.rotID, e)
 					}
 				}
 			}

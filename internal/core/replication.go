@@ -33,6 +33,7 @@ func newTicker(d time.Duration) *time.Ticker {
 type replicator struct {
 	s       *Server
 	streams []*repStream
+	started bool // set by start; Start and Close are not called concurrently
 }
 
 // repUpdate is one queued update plus its durability gate: nil means the
@@ -105,15 +106,20 @@ func newReplicator(s *Server, recovered []wire.Update) *replicator {
 }
 
 func (r *replicator) start() {
+	r.started = true
 	for _, st := range r.streams {
 		go st.run()
 	}
 }
 
+// stopAll stops the streams and, if start ran them, waits for them to exit.
 func (r *replicator) stopAll() {
 	for _, st := range r.streams {
 		close(st.stop)
 		st.cancel()
+	}
+	if !r.started {
+		return
 	}
 	for _, st := range r.streams {
 		<-st.done
@@ -154,10 +160,13 @@ func (st *repStream) cut() ([]wire.Update, uint64) {
 		st.queue = nil // release the drained backing array eventually
 		return batch, st.s.clock.Now()
 	}
-	if !st.queue[0].ready() {
-		// Blocked on an in-flight (or failed) group commit: the cut must
-		// stay strictly below the undurable head so remote snapshots never
-		// cover a version that might not survive the origin.
+	if k < n {
+		// The drain stopped at an in-flight (or failed) group commit (always
+		// so when k == 0: RepBatchMax is positive): the cut must stay
+		// strictly below the undurable head so remote snapshots never cover
+		// a version that might not survive the origin. This is the drain
+		// loop's own observation of the head; a second ready() read could
+		// see the flag flip and pick batch[k-1] with k == 0.
 		return batch, st.queue[0].TS - 1
 	}
 	return batch, batch[k-1].TS

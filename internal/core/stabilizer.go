@@ -15,7 +15,7 @@ import (
 //
 // The paper describes partitions exchanging VVs directly; a depth-1
 // aggregation tree (this service) computes the identical GSS with O(N)
-// messages per round instead of O(N²) (see DESIGN.md, Known deviations).
+// messages per round instead of O(N²).
 type Stabilizer struct {
 	dc     int
 	parts  int

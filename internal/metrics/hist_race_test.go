@@ -18,10 +18,9 @@ func (h *StaticHist) sumBuckets() uint64 {
 
 // TestSnapshotRacesRecord hammers Snapshot/Percentile/cumulative against
 // concurrent Record under -race. A snapshot may be torn, but it must never
-// panic, and — because Record bumps the bucket before the count — a reader
-// that loads the count FIRST and then sums the buckets must find
-// bucketSum ≥ count: every observation included in the count had already
-// published its bucket increment.
+// panic, and a reader that loads the count FIRST and then sums the buckets
+// must find bucketSum ≥ count: every observation included in the count had
+// already published its bucket increment.
 func TestSnapshotRacesRecord(t *testing.T) {
 	var h StaticHist
 	const writers = 8
@@ -68,10 +67,9 @@ func TestSnapshotRacesRecord(t *testing.T) {
 
 // TestResetRacesRecord runs Reset against concurrent Record under -race:
 // no panic, readouts stay sane (non-negative, no quantile above the
-// tracked max bucket range), and once the LAST reset has quiesced, the
-// permanent count/bucket divergence it can leave behind — a Record whose
-// bucket increment the reset swept but whose count increment landed after
-// — is bounded by the writers that were mid-Record at that reset.
+// tracked max bucket range), and once the LAST reset has quiesced, any
+// count/bucket divergence it leaves behind is bounded by the writers that
+// were mid-Record at that reset.
 func TestResetRacesRecord(t *testing.T) {
 	var h StaticHist
 	const writers = 8

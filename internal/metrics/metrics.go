@@ -96,9 +96,11 @@ type Summary struct {
 // bucket array is inline rather than heap-allocated, so it can be embedded
 // in always-on stats structs (transport.Stats) that promise a usable zero
 // value. Same bucket layout and precision as Histogram.
+//
+// The observation count is not stored: it is the bucket sum, so it matches
+// the buckets by construction, even across a Reset racing Record.
 type StaticHist struct {
 	buckets [numBuckets]atomic.Uint64
-	count   atomic.Uint64
 	sum     atomic.Uint64 // nanoseconds
 	max     atomic.Uint64
 }
@@ -110,7 +112,6 @@ func (h *StaticHist) Record(d time.Duration) {
 	}
 	v := uint64(d)
 	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		old := h.max.Load()
@@ -120,12 +121,18 @@ func (h *StaticHist) Record(d time.Duration) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *StaticHist) Count() uint64 { return h.count.Load() }
+// Count returns the number of observations, summed over the buckets.
+func (h *StaticHist) Count() uint64 {
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Mean returns the average observation.
 func (h *StaticHist) Mean() time.Duration {
-	n := h.count.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
@@ -137,7 +144,7 @@ func (h *StaticHist) Max() time.Duration { return time.Duration(h.max.Load()) }
 
 // Percentile returns the p-th percentile (0 < p ≤ 100).
 func (h *StaticHist) Percentile(p float64) time.Duration {
-	return percentile(h.buckets[:], h.count.Load(), h.Max(), p)
+	return percentile(h.buckets[:], h.Count(), h.Max(), p)
 }
 
 // Reset zeroes the histogram (used at the warmup/measurement boundary).
@@ -145,7 +152,6 @@ func (h *StaticHist) Reset() {
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
 	}
-	h.count.Store(0)
 	h.sum.Store(0)
 	h.max.Store(0)
 }

@@ -226,9 +226,9 @@ var histBounds = func() []uint64 {
 // each bound (counting observations strictly below the bound — within one
 // fine bucket of the ≤ semantics Prometheus specifies, i.e. the histogram's
 // native resolution) and returns the total observation count as summed over
-// the buckets. Using the bucket sum — not the count field — as the total
-// keeps the exposition internally consistent when a scrape races Record:
-// the +Inf bucket must equal the _count sample.
+// the buckets (what Count returns too). Taking the total from the same
+// single bucket walk keeps the exposition internally consistent when a
+// scrape races Record: the +Inf bucket must equal the _count sample.
 func (h *StaticHist) cumulative(bounds []uint64) (counts []uint64, total uint64) {
 	counts = make([]uint64, len(bounds))
 	cuts := make([]int, len(bounds))

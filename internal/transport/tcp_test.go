@@ -395,6 +395,11 @@ func TestTCPCoalescingUnderLoad(t *testing.T) {
 	if q := tnet.Stats().SendQueue.Load(); q > 0 {
 		t.Fatalf("send queue never drained (%d left)", q)
 	}
+	// The gauge drops when the writer gathers a frame, but the batch counters
+	// move only after its write returns: wait for those to cover every frame.
+	for st := tnet.Stats(); st.Flushes.Load()+st.FramesCoalesced.Load() < frames && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 
 	v := tnet.Stats().View()
 	if v.Flushes == 0 {
